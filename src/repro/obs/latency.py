@@ -21,13 +21,22 @@ sharded engine relies on), and rendered by
 
 The sketch is seeded deterministically (the instrument measures, it
 never decides), so same-run telemetry is reproducible bit for bit.
+``observe`` only appends to a pending list; every :data:`FOLD_EVERY`
+observations, and before any read, export or absorb, the list is
+folded into the sketch with one ``KLL.extend``.  ``extend`` is
+same-seed identical to elementwise ``update``, so buffering changes no
+exported byte.
 """
 
 from __future__ import annotations
 
+import operator
+import threading
 import time
+from functools import reduce
 from typing import List, Optional, Tuple
 
+from repro.core.base import reject_nan
 from repro.core.errors import InvalidParameterError
 from repro.core.snapshot import restore, snapshot
 from repro.obs.metrics import LabelItems
@@ -40,6 +49,10 @@ SUMMARY_EPS = 1.0 / 256.0
 #: The quantiles every summary exports (the Prometheus convention plus
 #: the tail the supervisor actually watches).
 EXPORT_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99, 0.999)
+
+#: Observations a summary holds pending before folding them into its
+#: sketch in one ``extend`` call.
+FOLD_EVERY = 1024
 
 #: Compact picklable payload: (KLL snapshot envelope, count, total).
 SummaryState = Tuple[bytes, int, float]
@@ -54,7 +67,7 @@ class Summary:
     """
 
     kind = "summary"
-    __slots__ = ("name", "labels", "sketch", "count", "total")
+    __slots__ = ("name", "labels", "sketch", "_total", "_pending", "_lock")
 
     def __init__(self, name: str, labels: LabelItems = ()) -> None:
         self.name = name
@@ -63,45 +76,88 @@ class Summary:
         # algorithmic decision, and a fixed seed keeps exports of a
         # deterministic run reproducible.
         self.sketch = KLL(eps=SUMMARY_EPS, seed=0)
-        self.count = 0
-        self.total = 0.0
+        #: Sum of the observations folded into ``sketch``.
+        self._total = 0.0
+        #: Observed, not yet folded.  Observers only append (atomic
+        #: under the GIL); a fold removes the prefix it consumed, so an
+        #: append racing a fold lands in the next one.
+        self._pending: List[float] = []
+        # Serializes folds and the reads that must see them whole.
+        self._lock = threading.Lock()
 
     def observe(self, value) -> None:
         """Record one observation (a duration in ns, by convention)."""
-        value = float(value)
-        self.sketch.update(value)
-        self.count += 1
-        self.total += value
+        pending = self._pending
+        pending.append(reject_nan(float(value)))
+        if len(pending) >= FOLD_EVERY:
+            with self._lock:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Feed the pending observations to the sketch (``_lock`` held).
+
+        ``total`` is summed in observation order, so it matches the
+        running sum of an unbuffered summary bit for bit.
+        """
+        pending = self._pending
+        batch = pending[:]
+        if batch:
+            self.sketch.extend(batch)
+            self._total = reduce(operator.add, batch, self._total)
+            del pending[: len(batch)]
+
+    @property
+    def count(self) -> int:
+        """Observations recorded: the folded ``n`` plus those pending."""
+        with self._lock:
+            return self.sketch.n + len(self._pending)
+
+    @property
+    def total(self) -> float:
+        """Sum of every observation recorded."""
+        with self._lock:
+            return reduce(operator.add, self._pending[:], self._total)
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        with self._lock:
+            self._fold()
+            n = self.sketch.n
+            return self._total / n if n else 0.0
 
     def quantile(self, q: float) -> float:
         """The ``q``-quantile per the KLL sketch (0 when empty)."""
         if not (0.0 <= q <= 1.0):
             raise InvalidParameterError(f"q must be in [0, 1], got {q!r}")
-        if self.count == 0:
-            return 0.0
-        return float(self.sketch.query(q))
+        with self._lock:
+            self._fold()
+            if self.sketch.n == 0:
+                return 0.0
+            return float(self.sketch.query(q))
 
     def quantiles(self, qs) -> List[float]:
-        if self.count == 0:
-            return [0.0 for _ in qs]
-        return [float(v) for v in self.sketch.query_batch(list(qs))]
+        with self._lock:
+            self._fold()
+            if self.sketch.n == 0:
+                return [0.0 for _ in qs]
+            return [float(v) for v in self.sketch.query_batch(list(qs))]
 
     # -- cross-process shipping ----------------------------------------
 
     def export(self) -> SummaryState:
         """Picklable state for ``export_state`` (snapshot envelope)."""
-        return (snapshot(self.sketch), self.count, self.total)
+        with self._lock:
+            self._fold()
+            return (snapshot(self.sketch), self.sketch.n, self._total)
 
     def absorb(self, state: SummaryState) -> None:
         """Merge another summary's exported state into this one.
 
         Worker latency summaries fold into the parent's through
         ``KLL.merge`` — rank guarantees compose, so the merged p99 is
-        still a true quantile over the union of observations.
+        still a true quantile over the union of observations.  Pending
+        observations are folded first, so the result matches a summary
+        that never buffered.
         """
         blob, count, total = state
         other = restore(blob)
@@ -110,9 +166,15 @@ class Summary:
                 f"summary {self.name!r} received a non-KLL payload "
                 f"({type(other).__name__})"
             )
-        self.sketch.merge(other)
-        self.count += count
-        self.total += total
+        if other.n != count:
+            raise InvalidParameterError(
+                f"summary {self.name!r} received a payload counting "
+                f"{count} observations over a sketch of {other.n}"
+            )
+        with self._lock:
+            self._fold()
+            self.sketch.merge(other)
+            self._total += total
 
 
 class SummaryTimer:

@@ -47,7 +47,6 @@ from repro.obs import trace as obs_trace
 from repro.parallel.plan import ShardPlan
 from repro.parallel.shm import (
     MAX_SLOTS_PER_WORKER,
-    SLOTS_PER_WORKER,
     attach_slots,
     create_slot_pool,
 )
@@ -55,14 +54,11 @@ from repro.parallel.shm import (
 #: Seconds the parent waits on worker replies before declaring it dead.
 _REPLY_TIMEOUT_S = 120.0
 
-#: Elements fed to the one-shot kernel-speed probe that sizes slot pools.
-_PROBE_ELEMENTS = 4096
-
-#: Probe thresholds (ns/item) for slot-pool depth.  Cheap kernels drain
-#: chunks faster than ack round trips restock the pool, so they get deep
-#: pools; kernels slower than ~1 µs/item can't outrun double buffering.
-_FAST_KERNEL_NS = 250.0
-_MEDIUM_KERNEL_NS = 1000.0
+#: Default shared-memory slots per worker, fixed so that no behaviour
+#: depends on the box's timing.  In perfbench's sharded-ingest rounds
+#: the median was 299.0 ns/item at depth 2, 272.9 at depth 4 and 268.6
+#: at depth 8: four slots get nearly all of eight's overlap.
+DEFAULT_SLOTS_PER_WORKER = 4
 
 
 def _start_method() -> str:
@@ -211,13 +207,11 @@ class ShardedIngestEngine:
             at ``finish()``.  Worker spans are shipped the same way when
             the parent has tracing enabled.
         dtype: element dtype of the stream (slots are sized for it).
-        slots_per_worker: shared-memory slots per worker.  ``None``
-            (default) sizes the pool from a one-shot ns/item probe of
-            the ingest kernel at first :meth:`ingest`: fast kernels get
-            :data:`~repro.parallel.shm.MAX_SLOTS_PER_WORKER` slots so
-            refill overlaps ingest deeply enough that they stop
-            stalling on ack round trips; slow kernels keep the classic
-            double buffer.
+        slots_per_worker: shared-memory slots per worker, at most
+            :data:`~repro.parallel.shm.MAX_SLOTS_PER_WORKER`.  ``None``
+            (default) means :data:`DEFAULT_SLOTS_PER_WORKER`.  Pool
+            depth sets only how far refill runs ahead of ingest, never
+            the merged result.
         **kwargs: forwarded to the algorithm constructor.
 
     Use as a context manager, or call :meth:`close` — slots are
@@ -259,8 +253,11 @@ class ShardedIngestEngine:
         }
         self._dtype = np.dtype(dtype)
         self._collect_metrics = collect_metrics
-        #: Resolved at :meth:`_start` (probe) when constructed as None.
-        self.slots_per_worker = slots_per_worker
+        self.slots_per_worker = (
+            DEFAULT_SLOTS_PER_WORKER
+            if slots_per_worker is None
+            else slots_per_worker
+        )
         self._ctx = mp.get_context(_start_method())
         self._workers: List[Any] = []
         self._task_queues: List[Any] = []
@@ -278,49 +275,15 @@ class ShardedIngestEngine:
 
     # -- lifecycle ------------------------------------------------------
 
-    def _probe_slots_per_worker(self, data: np.ndarray) -> int:
-        """Size the slot pools from a measured ns/item kernel probe.
-
-        Builds a throwaway sketch (metrics paused, so the probe's
-        updates never pollute the run's counters) and times one batch.
-        Pool depth never affects the merged result — only how deeply
-        refill overlaps ingest — so a timing-derived value preserves
-        the plan-determinism contract.
-        """
-        sample = data[: min(_PROBE_ELEMENTS, len(data))]
-        if not len(sample):
-            return SLOTS_PER_WORKER
-        from repro.evaluation.harness import build_sketch
-
-        with obs_metrics.paused():
-            probe = build_sketch(
-                self._spec["algorithm"],
-                self._spec["eps"],
-                self._spec["universe_log2"],
-                self.plan.seed,
-                **self._spec["kwargs"],
-            )
-            start = time.perf_counter_ns()
-            if isinstance(probe, TurnstileSketch):
-                probe.update_batch(sample)
-            else:
-                probe.extend(sample)
-            ns_per_item = (time.perf_counter_ns() - start) / len(sample)
-        if ns_per_item < _FAST_KERNEL_NS:
-            return MAX_SLOTS_PER_WORKER
-        if ns_per_item < _MEDIUM_KERNEL_NS:
-            return 4
-        return SLOTS_PER_WORKER
-
     def _start(self, data: Optional[np.ndarray] = None) -> None:
+        """Create the slot pools and spawn the workers (idempotent).
+
+        ``data`` is accepted so that a caller holding the stream can
+        start the engine ahead of the first :meth:`ingest`; the pool
+        depth does not depend on it.
+        """
         if self._started:
             return
-        if self.slots_per_worker is None:
-            self.slots_per_worker = (
-                self._probe_slots_per_worker(data)
-                if data is not None
-                else SLOTS_PER_WORKER
-            )
         collect_spans = obs_trace.tracer() is not None
         self._slots = create_slot_pool(
             self.plan.shards, self.slots_per_worker, self.plan.chunk_size,
@@ -434,7 +397,7 @@ class ShardedIngestEngine:
                 "engine already finished; build a new one to ingest more"
             )
         data = np.asarray(data, dtype=self._dtype)
-        self._start(data)
+        self._start()
         rec = obs_metrics.recorder()
         chunks = 0
         for index, lo, hi in self.plan.chunks(

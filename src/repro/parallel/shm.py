@@ -23,14 +23,14 @@ import numpy as np
 
 from repro.core.errors import InvalidParameterError
 
-#: Default slots per worker; two gives classic double buffering (parent
-#: fills slot B while the worker drains slot A).  The engine deepens the
-#: pool for fast kernels based on a measured ns/item probe.
+#: Slots per worker of the supervised engine; two gives classic double
+#: buffering (parent fills slot B while the worker drains slot A).  The
+#: plain engine defaults deeper (``DEFAULT_SLOTS_PER_WORKER``).
 SLOTS_PER_WORKER = 2
 
-#: Ceiling for probe-sized pools: deep enough that a cheap ``extend``
-#: kernel never starves between ack round trips, small enough that the
-#: shared-memory footprint stays ``O(workers * chunk_size)``.
+#: Ceiling for requested pool depths: deep enough that a cheap
+#: ``extend`` kernel never starves between ack round trips, small enough
+#: that the shared-memory footprint stays ``O(workers * chunk_size)``.
 MAX_SLOTS_PER_WORKER = 8
 
 

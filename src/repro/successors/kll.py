@@ -21,8 +21,9 @@ concatenation followed by re-compaction.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List, Optional
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +44,60 @@ from repro.core.registry import register
 from repro.core.snapshot import snapshottable
 from repro.core.weighted import weighted_query_batch
 from repro.sketches.hashing import make_rng
+
+
+#: Elements converted to Python scalars at a time by :meth:`KLL.extend`
+#: (bounds the transient list a huge array would otherwise become).
+_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=256)
+def _schedule(k: int, c: float, levels: int) -> Tuple[Tuple[int, ...], int]:
+    """Per-level capacities (level 0 first) and their total for a sketch
+    of ``levels`` compactors: ``max(2, ceil(k * c**depth))`` with depth
+    counted down from the top level."""
+    caps = tuple(
+        max(2, math.ceil(k * (c ** (levels - 1 - level))))
+        for level in range(levels)
+    )
+    return caps, sum(caps)
+
+
+class _Coins:
+    """The compaction coins of one :meth:`KLL._ingest` call, drawn in bulk.
+
+    Iterating yields coins drawn ``block`` at a time; :meth:`settle`
+    then rewinds the generator and redraws exactly the coins used.  A
+    bound-2 draw costs one 32-bit output whether drawn alone or in bulk,
+    so the coins and the final generator state are those of one
+    ``integers(0, 2)`` per compaction.  A block of one is drawn on
+    demand and never needs the rewind.
+    """
+
+    __slots__ = ("_rng", "_block", "_saved", "_drawn")
+
+    def __init__(self, rng: np.random.Generator, block: int) -> None:
+        self._rng = rng
+        self._block = block
+        self._saved: Any = None
+        self._drawn = 0
+
+    def __iter__(self) -> Iterator[int]:
+        rng, block = self._rng, self._block
+        if block <= 1:
+            while True:
+                yield int(rng.integers(0, 2))
+        self._saved = rng.bit_generator.state
+        while True:
+            self._drawn += block
+            yield from rng.integers(0, 2, size=block).tolist()
+
+    def settle(self, used: int) -> None:
+        """Leave the generator exactly ``used`` coins past its start."""
+        if used < self._drawn:
+            self._rng.bit_generator.state = self._saved
+            if used:
+                self._rng.integers(0, 2, size=used)
 
 
 @snapshottable("kll")
@@ -90,21 +145,11 @@ class KLL(QuantileSketch, MergeableSketch):
 
     def _capacity(self, level: int) -> int:
         """Capacity of the compactor at ``level`` (0 = raw elements)."""
-        depth = len(self._compactors) - 1 - level
-        return max(2, math.ceil(self.k * (self.c**depth)))
-
-    def _total_capacity(self) -> int:
-        return sum(
-            self._capacity(level) for level in range(len(self._compactors))
-        )
+        return _schedule(self.k, self.c, len(self._compactors))[0][level]
 
     def update(self, value) -> None:
         reject_nan(value)
-        self._compactors[0].append(value)
-        self._n += 1
-        if sum(len(comp) for comp in self._compactors) > \
-                self._total_capacity():
-            self._compact()
+        self._ingest(([value],), 1)
 
     def extend(self, values) -> None:
         """Bulk insert: fill the bottom compactor in chunks.
@@ -112,46 +157,79 @@ class KLL(QuantileSketch, MergeableSketch):
         Elements land in chunks sized to the remaining total-capacity
         headroom, so compactions fire at exactly the same element
         boundaries (and consume the same coin draws) as elementwise
-        feeding — same-seed runs produce bit-identical sketches.
+        feeding — same-seed runs produce bit-identical sketches, down to
+        the generator state.
         """
         arr = to_element_array(values)
         if arr.dtype == object:
-            for value in arr.tolist():
-                self.update(value)
+            items = arr.tolist()
+            bad = next((j for j, v in enumerate(items) if v != v), None)
+            if bad is not None:
+                # Elementwise feeding ingests everything before the NaN.
+                self._ingest((items[:bad],), bad)
+                reject_nan(items[bad])
+            self._ingest((items,), len(items))
             return
         if arr.dtype.kind == "f" and np.isnan(arr).any():
-            from repro.core.errors import InvalidParameterError
-
             raise InvalidParameterError(
                 "NaN cannot be ranked; filter NaNs before summarizing"
             )
-        i = 0
-        m = len(arr)
-        while i < m:
-            held = sum(len(comp) for comp in self._compactors)
-            room = self._total_capacity() - held + 1  # compact at cap + 1
-            take = min(max(1, room), m - i)
-            self._compactors[0].extend(arr[i : i + take].tolist())
-            self._n += take
-            i += take
-            if sum(len(comp) for comp in self._compactors) > \
-                    self._total_capacity():
-                self._compact()
+        blocks = (
+            arr[lo : lo + _BLOCK].tolist() for lo in range(0, len(arr), _BLOCK)
+        )
+        self._ingest(blocks, min(len(arr), _BLOCK))
 
-    def _compact(self) -> None:
-        """Compact the lowest level exceeding its capacity."""
-        for level, comp in enumerate(self._compactors):
-            if len(comp) > self._capacity(level):
-                break
-        else:
-            return
-        if level + 1 == len(self._compactors):
-            self._compactors.append([])
-        comp.sort()
-        start = int(self._rng.integers(0, 2))
-        promoted = comp[start::2]
-        self._compactors[level + 1].extend(promoted)
-        self._compactors[level] = []
+    def _ingest(self, blocks: Iterable[list], hint: int) -> None:
+        """Append each block to level 0, compacting whenever the held
+        count exceeds the total capacity — the one loop behind
+        :meth:`update`, :meth:`extend` and :meth:`merge`.
+
+        Each step takes exactly the headroom left before the budget
+        overflows, so compactions fire where elementwise feeding would
+        fire them.  The capacity schedule is rebuilt only when a level
+        is added and the held count is tracked, not re-summed.  Coins
+        come from :class:`_Coins` in blocks of ``hint // 8``, ``hint``
+        being the elements the call brings; an empty block just
+        restores the budget.
+        """
+        compactors = self._compactors
+        levels = len(compactors)
+        caps, total = _schedule(self.k, self.c, levels)
+        held = sum(map(len, compactors))
+        coins = _Coins(self._rng, hint >> 3)
+        flips = iter(coins)
+        used = 0
+        try:
+            for items in blocks:
+                i, m = 0, len(items)
+                while True:
+                    while held > total:
+                        # Compact the lowest level exceeding its capacity.
+                        level = 0
+                        while len(compactors[level]) <= caps[level]:
+                            level += 1
+                        if level + 1 == levels:
+                            compactors.append([])
+                            levels += 1
+                            caps, total = _schedule(self.k, self.c, levels)
+                        comp = compactors[level]
+                        comp.sort()
+                        promoted = comp[next(flips) :: 2]
+                        used += 1
+                        compactors[level + 1].extend(promoted)
+                        compactors[level] = []
+                        held -= len(comp) - len(promoted)
+                    if i == m:
+                        break
+                    take = total - held + 1  # compact at cap + 1
+                    if take > m - i:
+                        take = m - i
+                    compactors[0].extend(items[i : i + take])
+                    held += take
+                    self._n += take
+                    i += take
+        finally:
+            coins.settle(used)
 
     # ------------------------------------------------------------------
     # query path
@@ -208,9 +286,7 @@ class KLL(QuantileSketch, MergeableSketch):
         self._n += other._n
         other._compactors = [[]]
         other._n = 0
-        while sum(len(c) for c in self._compactors) > \
-                self._total_capacity():
-            self._compact()
+        self._ingest(([],), 0)
 
     def compactor_sizes(self) -> List[int]:
         """Current per-level buffer sizes (introspection)."""
@@ -245,4 +321,4 @@ class KLL(QuantileSketch, MergeableSketch):
 
     def size_words(self) -> int:
         """Allocated capacity across compactors (elements, one word)."""
-        return self._total_capacity()
+        return _schedule(self.k, self.c, len(self._compactors))[1]

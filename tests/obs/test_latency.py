@@ -3,21 +3,26 @@ repo, with the sketch's eps guarantee checked against exact per-op
 quantiles."""
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.errors import InvalidParameterError
+from repro.core.snapshot import restore, snapshot
 from repro.obs import metrics as obs_metrics
 from repro.obs.export import to_prometheus
 from repro.obs.latency import (
     EXPORT_QUANTILES,
+    FOLD_EVERY,
     SUMMARY_EPS,
     Summary,
     rank_of,
     timed,
 )
 from repro.obs.metrics import MetricsRegistry, absorb_state, export_state
+from repro.successors.kll import KLL
 
 
 @pytest.fixture(autouse=True)
@@ -104,6 +109,125 @@ class TestSummary:
         reg = MetricsRegistry()
         reg.summary("latency.wal_append_ns")
         assert export_state(reg) == []
+
+
+class TestSummaryBuffering:
+    """``observe`` buffers; every read folds first, so a buffered
+    summary is indistinguishable from one feeding KLL value by value."""
+
+    @staticmethod
+    def _values(n, seed=42):
+        rng = np.random.default_rng(seed)
+        return rng.lognormal(mean=10.0, sigma=2.0, size=n).tolist()
+
+    @staticmethod
+    def _unbuffered(values):
+        sketch = KLL(eps=SUMMARY_EPS, seed=0)
+        total = 0.0
+        for v in values:
+            sketch.update(v)
+            total += v
+        return sketch, total
+
+    @pytest.mark.parametrize("n", [1, FOLD_EVERY - 1, 3 * FOLD_EVERY + 17])
+    def test_matches_value_by_value_kll(self, n):
+        values = self._values(n)
+        s = Summary("latency.chunk_update_ns")
+        for v in values:
+            s.observe(v)
+        sketch, total = self._unbuffered(values)
+        assert s.count == n
+        assert s.total == total
+        assert s.quantiles(EXPORT_QUANTILES) == [
+            float(v) for v in sketch.query_batch(list(EXPORT_QUANTILES))
+        ]
+        assert s.export() == (snapshot(sketch), n, total)
+
+    def test_export_folds_pending(self):
+        s = Summary("latency.wal_append_ns")
+        for v in (3.0, 1.0, 2.0):
+            s.observe(v)
+        blob, count, total = s.export()
+        assert (restore(blob).n, count, total) == (3, 3, 6.0)
+
+    def test_absorb_folds_pending_first(self):
+        mine, theirs = self._values(700, seed=1), self._values(900, seed=2)
+        a, b = Summary("latency.wal_append_ns"), Summary("x")
+        for v in mine:
+            a.observe(v)
+        for v in theirs:
+            b.observe(v)
+        a.absorb(b.export())
+        ref_a, total_a = self._unbuffered(mine)
+        ref_b, total_b = self._unbuffered(theirs)
+        ref_a.merge(restore(snapshot(ref_b)))
+        assert a.export() == (
+            snapshot(ref_a), len(mine) + len(theirs), total_a + total_b
+        )
+
+    def test_absorb_rejects_count_that_disagrees_with_sketch(self):
+        b = Summary("x")
+        b.observe(1.0)
+        blob, count, total = b.export()
+        with pytest.raises(InvalidParameterError):
+            Summary("y").absorb((blob, count + 1, total))
+
+    def test_observe_rejects_nan(self):
+        s = Summary("x")
+        with pytest.raises(InvalidParameterError):
+            s.observe(float("nan"))
+        assert s.count == 0
+
+    @pytest.mark.parametrize("observers", [1, 3])
+    def test_scrape_while_observing_loses_and_doubles_nothing(
+        self, observers
+    ):
+        values = self._values(60 * FOLD_EVERY + 5)
+        s = Summary("latency.serve.request_ns")
+        done = threading.Event()
+        scrapes = []
+
+        def observe_all():
+            for v in values:
+                s.observe(v)
+
+        def scrape():
+            while not done.is_set():
+                blob, count, _total = s.export()
+                scrapes.append((restore(blob).n, count))
+                s.quantile(0.99)
+
+        workers = [threading.Thread(target=observe_all)
+                   for _ in range(observers)]
+        scraper = threading.Thread(target=scrape)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            scraper.start()
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            done.set()
+            scraper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + [scraper])
+        assert scrapes, "the scraper never ran"
+        # Every export is a consistent cut: the folded sketch holds
+        # exactly the observations counted, and cuts only grow.
+        assert all(n == count for n, count in scrapes)
+        counts = [count for _, count in scrapes]
+        assert counts == sorted(counts)
+        expected = observers * len(values)
+        assert s.count == expected
+        blob, count, total = s.export()
+        assert restore(blob).n == count == expected
+        if observers == 1:
+            sketch, total_1 = self._unbuffered(values)
+            assert (blob, total) == (snapshot(sketch), total_1)
+        else:
+            assert total == pytest.approx(observers * sum(values))
 
 
 class TestTimed:

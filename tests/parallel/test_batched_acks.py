@@ -2,8 +2,8 @@
 
 CI's parallel-smoke job runs this file to prove the batched-ack path is
 actually exercised: workers must ack drained *slot groups* (one reply
-per group), not one reply per chunk, and the probe-sized slot pools
-must be deep enough that grouping can happen at all.  The counters are
+per group), not one reply per chunk, and the default slot pools must
+be deep enough that grouping can happen at all.  The counters are
 worker-side (``parallel.acks`` / ``parallel.acked_slots``), absorbed
 into the parent registry at ``finish()``.
 """
@@ -15,7 +15,10 @@ import pytest
 
 from repro.core.errors import InvalidParameterError
 from repro.obs import metrics as obs_metrics
-from repro.parallel.engine import ShardedIngestEngine
+from repro.parallel.engine import (
+    DEFAULT_SLOTS_PER_WORKER,
+    ShardedIngestEngine,
+)
 from repro.parallel.plan import ShardPlan
 from repro.parallel.shm import MAX_SLOTS_PER_WORKER, SLOTS_PER_WORKER
 
@@ -70,13 +73,14 @@ def test_every_slot_is_acked_exactly_once():
     assert counters["parallel.acks"] <= counters["parallel.acked_slots"]
 
 
-def test_probe_sizes_pool_for_fast_kernels():
-    # gk_array's batch kernel is well under the fast-kernel threshold
-    # on any box, so the probe must deepen the pool beyond the classic
-    # double buffer and record the choice in the gauge.
+def test_default_pool_depth_is_fixed():
+    # No timing probe: the default depth is the same four slots on any
+    # box, deeper than the classic double buffer, and the gauge
+    # records it.
     _, counters, resolved = _run(slots_per_worker=None)
-    assert resolved > SLOTS_PER_WORKER
-    assert counters["parallel.slots_per_worker"] == resolved
+    assert DEFAULT_SLOTS_PER_WORKER == 4
+    assert resolved == DEFAULT_SLOTS_PER_WORKER > SLOTS_PER_WORKER
+    assert counters["parallel.slots_per_worker"] == DEFAULT_SLOTS_PER_WORKER
 
 
 def test_explicit_slots_per_worker_respected():
