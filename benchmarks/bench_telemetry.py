@@ -152,8 +152,10 @@ def _supervised_run(
 
 
 def run(smoke: bool) -> dict:
-    n = scaled_n(16_384 if smoke else 262_144)
     chunk = 1024
+    # The kill below lands on shard 1's second chunk, so even a scaled
+    # run needs two chunks per shard for the chaos fault to fire.
+    n = max(scaled_n(16_384 if smoke else 262_144), 2 * SHARDS * chunk)
     rng = np.random.default_rng(23)
     data = rng.integers(0, 1 << 20, size=n, dtype=np.int64)
     plan = ShardPlan(seed=0, shards=SHARDS, chunk_size=chunk)

@@ -229,7 +229,7 @@ def _run(
         if args.parallel is not None:
             import numpy as np
 
-            from repro.parallel.engine import parallel_feed
+            from repro.parallel.engine import ShardedIngestEngine
             from repro.parallel.plan import ShardPlan
 
             as_int = args.as_int or needs_int
@@ -246,31 +246,23 @@ def _run(
             build_s = 0.0  # workers build their shard sketches
             if len(values) == 0:
                 return fail("no input values", 1)
-            if args.durable_dir is not None:
-                from repro.durability import supervised_feed
-
+            with ShardedIngestEngine(
+                args.algorithm, args.eps, plan,
+                universe_log2=args.universe_log2,
+                collect_metrics=registry is not None,
+                dtype=values.dtype,
+                durable=args.durable_dir,
+            ) as engine:
                 start = time.perf_counter()
-                result = supervised_feed(
-                    args.algorithm, values, args.eps, plan,
-                    args.durable_dir,
-                    universe_log2=args.universe_log2,
-                    collect_metrics=registry is not None,
-                )
+                engine.ingest(values)
+                sketch = engine.finish()
                 elapsed = time.perf_counter() - start
-                if result.summary is None:
-                    return fail("supervised run lost every shard", 2)
-                sketch = result.summary
+            if args.durable_dir is not None:
                 durable_info = {
-                    "coverage": result.coverage,
-                    "effective_eps": result.effective_eps,
-                    "restarts": sum(result.restarts),
+                    "coverage": engine.coverage,
+                    "effective_eps": engine.effective_eps,
+                    "restarts": sum(engine.restarts),
                 }
-            else:
-                sketch, elapsed = parallel_feed(
-                    args.algorithm, values, args.eps, plan,
-                    universe_log2=args.universe_log2,
-                    collect_metrics=registry is not None,
-                )
         elif args.durable_dir is not None:
             import numpy as np
 

@@ -11,8 +11,9 @@ package turns that observation into a crash-safe ingest stack:
 * :mod:`repro.durability.ingest` — :class:`DurableIngest`, one sketch
   whose state survives process crashes via checkpoint + WAL-tail replay,
   exactly once, bit-identical for deterministic sketches.
-* :mod:`repro.durability.supervisor` — a self-healing sharded engine
-  that restarts dead/hung workers from their durable stores and reports
+* :mod:`repro.durability.supervisor` — the sharded engine of
+  :mod:`repro.parallel.engine` with a required durable store: it
+  restarts dead/hung workers from their stores and reports
   ``coverage`` / ``effective_eps`` when it must degrade.
 * :mod:`repro.durability.chaos` — seeded process/storage fault harness
   (kills, stalls, torn WALs, corrupt checkpoints) for deterministic
@@ -38,10 +39,10 @@ from repro.durability.ingest import (
 from repro.durability.supervisor import (
     SupervisedIngestEngine,
     SupervisedResult,
-    SupervisorConfig,
     supervised_feed,
 )
 from repro.durability.wal import WriteAheadLog
+from repro.parallel.engine import SupervisorConfig
 
 __all__ = [
     "ChaosReport",

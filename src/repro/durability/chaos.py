@@ -18,15 +18,16 @@ as reproducible as a clean one:
   what makes the result *bit-identical* to an uninterrupted run for
   deterministic sketches.
 
-The kill/stall faults for real worker *processes* are consumed by
-:mod:`repro.durability.supervisor`; this module is the single-process
-counterpart that lets the recovery invariant be proven for every
-algorithm in the registry without paying a process spawn per case.
+The kill/stall faults for real worker *processes* are consumed by the
+workers of :mod:`repro.parallel.engine`; this module is the
+single-process counterpart that lets the recovery invariant be proven
+for every algorithm in the registry without paying a process spawn per
+case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -168,14 +169,7 @@ def chaos_durable_run(
     if config is None:
         config = DurabilityConfig(directory=directory)
     elif Path(config.directory) != Path(directory):
-        config = DurabilityConfig(
-            directory=directory,
-            checkpoint_interval=config.checkpoint_interval,
-            keep_checkpoints=config.keep_checkpoints,
-            fsync=config.fsync,
-            segment_bytes=config.segment_bytes,
-            validate_restore=config.validate_restore,
-        )
+        config = replace(config, directory=directory)
     spec: Dict[str, Any] = dict(
         universe_log2=universe_log2, seed=seed, **kwargs
     )

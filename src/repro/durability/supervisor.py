@@ -1,115 +1,38 @@
 """Self-healing supervised parallel ingest over durable shard stores.
 
-:class:`SupervisedIngestEngine` is the fault-tolerant sibling of
-:class:`repro.parallel.engine.ShardedIngestEngine`.  The chunk deal,
-shared-memory transport, per-shard seeds, and merge tree are the same —
-a zero-fault supervised run produces a summary bit-identical to the
-plain engine's for deterministic sketches — but every worker owns a
-:class:`~repro.durability.ingest.DurableIngest` store, and the parent
-supervises:
+:class:`SupervisedIngestEngine` is
+:class:`repro.parallel.engine.ShardedIngestEngine` with a required
+:class:`~repro.durability.ingest.DurabilityConfig`: every worker owns a
+:class:`~repro.durability.ingest.DurableIngest` store, a failed worker
+is restarted from its store and resent only the chunks it had not yet
+durably applied, and a shard that exhausts its restart budget is
+abandoned and salvaged.  The engine module documents the protocol;
+this module only shapes the outcome as a :class:`SupervisedResult` that
+makes any degradation explicit (``coverage`` / ``effective_eps``).
 
-* **Detection** — every worker reply doubles as a heartbeat (a
-  ``ready`` handshake after build/recovery, an ``ack`` after each chunk
-  is durably applied).  Replies travel over a **per-worker pipe**, not
-  a shared queue: a queue's pipe-write lock dies with whichever worker
-  a SIGKILL catches holding it, silencing every *other* worker, whereas
-  a crashed worker can only tear its own pipe — which the parent sees
-  as an immediate EOF.  A dead worker is caught by that EOF or by
-  ``is_alive()``; a live-but-silent worker with work outstanding past
-  ``hung_timeout_s`` is declared hung and killed.
-* **Restart** — a failed worker is respawned with exponential backoff
-  under a per-shard retry budget.  The fresh incarnation reopens its
-  shard store, recovers (checkpoint + WAL replay), and reports its
-  durable high-water mark; the parent then *resends* only the chunks at
-  or above that mark.  Acks are sent after the durable apply, so the
-  resend set is exact — every chunk is applied exactly once.
-* **Degradation** — a shard that exhausts its budget is abandoned: the
-  parent salvages whatever its store durably holds and the final result
-  reports ``coverage`` and ``effective_eps`` with the same accounting
-  as :func:`repro.distributed.protocols.merge_summaries` (``coverage *
-  eps + (1 - coverage)``).
-
-Faults are never ad hoc: worker kills and stalls come from the seeded
-:class:`~repro.distributed.faults.FaultPlan` (consumed *inside* the
-worker, so the crash is a real SIGKILL of a real process), and storage
-damage is applied through :func:`repro.durability.chaos.apply_storage_faults`
-before a restarted worker recovers.  Same plan, same faults, same
-result.
+A zero-fault supervised run produces a summary bit-identical to the
+plain engine's for deterministic sketches: the chunk deal, per-shard
+seeds and merge tree are the same code.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import signal
-import time
-import traceback
-from collections import OrderedDict
-from multiprocessing import connection as mp_connection
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import QuantileSketch
-from repro.core.errors import (
-    CorruptSummaryError,
-    DurabilityError,
-    InvalidParameterError,
-    UnmergeableSketchError,
-)
-from repro.core.registry import merge_shares_seed, supports_merge
-from repro.core.snapshot import restore, snapshot
-from repro.distributed.faults import FaultInjector, FaultPlan
-from repro.durability.chaos import apply_storage_faults
-from repro.durability.ingest import DurabilityConfig, DurableIngest
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-from repro.obs.events import record_event
-from repro.parallel.engine import _start_method
+from repro.core.errors import InvalidParameterError
+from repro.parallel.engine import ShardedIngestEngine, SupervisorConfig
 from repro.parallel.plan import ShardPlan
-from repro.parallel.shm import (
-    SLOTS_PER_WORKER,
-    attach_slots,
-    create_slot_pool,
-)
 
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Failure-handling knobs for :class:`SupervisedIngestEngine`.
-
-    Args:
-        max_restarts: restarts each shard may consume before it is
-            abandoned (and salvaged from its durable store).
-        restart_backoff_s: delay before the first restart of a shard.
-        backoff_factor: multiplier per further restart (exponential).
-        hung_timeout_s: a worker with outstanding work that has not
-            replied for this long is declared hung and killed.
-        poll_interval_s: reply-queue poll granularity; bounds how fast
-            death/hang detection reacts.
-    """
-
-    max_restarts: int = 2
-    restart_backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    hung_timeout_s: float = 30.0
-    poll_interval_s: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise InvalidParameterError(
-                f"max_restarts must be >= 0, got {self.max_restarts!r}"
-            )
-        if self.restart_backoff_s < 0 or self.backoff_factor < 1.0:
-            raise InvalidParameterError(
-                "restart_backoff_s must be >= 0 and backoff_factor >= 1"
-            )
-        if self.hung_timeout_s <= 0 or self.poll_interval_s <= 0:
-            raise InvalidParameterError(
-                "hung_timeout_s and poll_interval_s must be > 0"
-            )
+__all__ = [
+    "SupervisedIngestEngine",
+    "SupervisedResult",
+    "SupervisorConfig",
+    "supervised_feed",
+]
 
 
 @dataclass
@@ -134,730 +57,55 @@ class SupervisedResult:
     hung_detected: int
 
 
-def _supervised_worker(
-    worker_id: int,
-    incarnation: int,
-    plan: ShardPlan,
-    spec: Dict[str, Any],
-    durable: Dict[str, Any],
-    slot_names: List[str],
-    dtype_str: str,
-    task_queue: Any,
-    reply_conn: Any,
-    fault_plan: FaultPlan,
-    collect_metrics: bool,
-    collect_spans: bool,
-) -> None:
-    """Worker entry point: one durable sketch store per shard.
-
-    Replies go over ``reply_conn``, this worker's private pipe to the
-    parent — never a queue shared with sibling workers, so a chaos
-    SIGKILL here can wedge nobody but this worker (the parent reads the
-    torn pipe as EOF, exactly what a crash should look like).
-
-    Protocol (all replies carry ``incarnation`` so the parent can drop
-    messages from a dead predecessor):
-
-    * ``("ready", worker, incarnation, next_seq)`` — sent once the store
-      is open and recovered; ``next_seq`` is the durable high-water mark
-      (per-shard chunk ordinal) the parent must resend from.
-    * ``("chunk", slot, count, ordinal)`` in, ``("ack", worker,
-      incarnation, slot, ordinal)`` out — the ack is sent *after* the
-      chunk is durably applied, so an acked chunk never needs resending.
-    * ``("finish",)`` in, ``("result", worker, incarnation, blob,
-      metrics, spans)`` out.
-
-    Chaos faults fire here, inside the real process: ``kill_worker_at``
-    is a genuine ``SIGKILL`` of this worker, ``stall_worker`` a real
-    sleep long enough to trip the parent's hang detector.
-    """
-    registry = None
-    tracer = None
-    injector = FaultInjector(fault_plan)
-    try:
-        if collect_metrics:
-            registry = obs_metrics.enable(obs_metrics.MetricsRegistry())
-        if collect_spans:
-            tracer = obs_trace.enable_tracing(obs_trace.Tracer())
-        seed = plan.sketch_seed(worker_id, spec["shares_seed"])
-        store = DurableIngest(
-            DurabilityConfig(
-                directory=Path(durable["directory"])
-                / f"shard-{worker_id:03d}",
-                checkpoint_interval=durable["checkpoint_interval"],
-                keep_checkpoints=durable["keep_checkpoints"],
-                fsync=durable["fsync"],
-                segment_bytes=durable["segment_bytes"],
-                validate_restore=durable["validate_restore"],
-            ),
-            spec["algorithm"],
-            spec["eps"],
-            universe_log2=spec["universe_log2"],
-            seed=seed,
-            dtype=np.dtype(dtype_str),
-            **spec["kwargs"],
-        )
-        slots = attach_slots(
-            slot_names, plan.chunk_size, np.dtype(dtype_str)
-        )
-        kill_after = injector.kill_after_chunks(worker_id, incarnation)
-        stall = injector.stall_seconds(worker_id, incarnation)
-        applied = 0
-        reply_conn.send(
-            ("ready", worker_id, incarnation, store.wal.next_seq)
-        )
-        while True:
-            message = task_queue.get()
-            kind = message[0]
-            if kind == "chunk":
-                _, slot, count, ordinal = message
-                if stall > 0.0:
-                    time.sleep(stall)
-                    stall = 0.0
-                if kill_after is not None and applied >= kill_after:
-                    # The scheduled chaos crash: die before this chunk
-                    # is logged, exactly as a real fault would.
-                    os.kill(os.getpid(), signal.SIGKILL)
-                values = slots[slot].read(count)
-                if ordinal >= store.wal.next_seq:
-                    store.ingest(values)
-                applied += 1
-                reply_conn.send(
-                    ("ack", worker_id, incarnation, slot, ordinal)
-                )
-            elif kind == "finish":
-                sketch = store.finish()
-                blob = snapshot(sketch)
-                metrics_state = (
-                    obs_metrics.export_state(registry)
-                    if registry is not None
-                    else []
-                )
-                span_batch = (
-                    tracer.export_batch() if tracer is not None else None
-                )
-                reply_conn.send(
-                    (
-                        "result",
-                        worker_id,
-                        incarnation,
-                        blob,
-                        metrics_state,
-                        span_batch,
-                    )
-                )
-            elif kind == "stop":
-                break
-            else:  # pragma: no cover - protocol bug guard
-                raise InvalidParameterError(
-                    f"unknown worker message {message!r}"
-                )
-        store.close()
-        for slot in slots:
-            slot.close()
-    except Exception:  # pragma: no cover - exercised via chaos tests
-        reply_conn.send(
-            ("error", worker_id, incarnation, traceback.format_exc())
-        )
-    finally:
-        reply_conn.close()
-
-
-class SupervisedIngestEngine:
+class SupervisedIngestEngine(ShardedIngestEngine):
     """Sharded ingest that detects, restarts, and survives worker loss.
 
     Args:
-        algorithm: registry name; must support merging.
-        eps: error parameter for every shard and the merged summary.
-        plan: the :class:`ShardPlan` fixing shards, chunking, and seeds.
+        algorithm / eps / plan: as in
+            :class:`~repro.parallel.engine.ShardedIngestEngine`.
         durable: a :class:`DurabilityConfig` (or directory path) for the
-            per-shard stores, laid out as ``<dir>/shard-<k>/``.
-        faults: seeded chaos plan; ``None`` means lossless.
-        supervisor: failure-handling knobs.
-        universe_log2 / collect_metrics / dtype / kwargs: as in
+            per-shard stores, laid out as ``<dir>/shard-<k>/``; required.
+        **kwargs: ``faults``, ``supervisor``, ``universe_log2``,
+            ``collect_metrics``, ``dtype`` and algorithm arguments, as in
             :class:`~repro.parallel.engine.ShardedIngestEngine`.
 
-    Use as a context manager or call :meth:`close` — the shared-memory
-    slots must be unlinked.
+    :meth:`finish` returns a :class:`SupervisedResult` rather than the
+    bare summary.
     """
 
     def __init__(
-        self,
-        algorithm: str,
-        eps: float,
-        plan: ShardPlan,
-        durable: Any,
-        faults: Optional[FaultPlan] = None,
-        supervisor: Optional[SupervisorConfig] = None,
-        universe_log2: Optional[int] = None,
-        collect_metrics: bool = False,
-        dtype: Any = np.int64,
+        self, algorithm: str, eps: float, plan: ShardPlan, durable: Any,
         **kwargs: Any,
     ) -> None:
-        if not supports_merge(algorithm):
-            raise UnmergeableSketchError(
-                f"{algorithm} cannot shard: it defines no merge operation "
-                "(see repro.core.registry.mergeable_algorithms())"
-            )
-        self.algorithm = algorithm
-        self.eps = eps
-        self.plan = plan
-        self.durable = DurabilityConfig.coerce(durable)
-        self.faults = faults if faults is not None else FaultPlan.lossless()
-        self._injector = FaultInjector(self.faults)
-        self.supervisor = (
-            supervisor if supervisor is not None else SupervisorConfig()
-        )
-        self._spec: Dict[str, Any] = {
-            "algorithm": algorithm,
-            "eps": eps,
-            "universe_log2": universe_log2,
-            "kwargs": dict(kwargs),
-            "shares_seed": merge_shares_seed(algorithm),
-        }
-        self._durable_spec: Dict[str, Any] = {
-            "directory": str(self.durable.directory),
-            "checkpoint_interval": self.durable.checkpoint_interval,
-            "keep_checkpoints": self.durable.keep_checkpoints,
-            "fsync": self.durable.fsync,
-            "segment_bytes": self.durable.segment_bytes,
-            "validate_restore": self.durable.validate_restore,
-        }
-        self._dtype = np.dtype(dtype)
-        self._collect_metrics = collect_metrics
-        self._ctx = mp.get_context(_start_method())
-        shards = plan.shards
-        self._procs: List[Optional[Any]] = [None] * shards
-        self._task_queues: List[Optional[Any]] = [None] * shards
-        self._reply_conns: List[Optional[Any]] = [None] * shards
-        self._slots: List[List[Any]] = []
-        self._free: List[List[int]] = [[] for _ in range(shards)]
-        self._pending: List["OrderedDict[int, np.ndarray]"] = [
-            OrderedDict() for _ in range(shards)
-        ]
-        self._ordinals = [0] * shards
-        self._incarnation = [0] * shards
-        self._restarts = [0] * shards
-        self._abandoned = [False] * shards
-        self._ready = [False] * shards
-        self._finish_sent = [False] * shards
-        self._last_reply = [0.0] * shards
-        self._storage_faulted: set = set()
-        self._results: Dict[int, bytes] = {}
-        self._chunk_counter = 0
-        self._elements = 0
-        self._lost_elements = 0
-        self.resent_chunks = 0
-        self.hung_detected = 0
-        self._collect_spans = False
-        self._finishing = False
-        self._finished = False
-        self._closed = False
-        self._started = False
-
-    # -- lifecycle ------------------------------------------------------
-
-    def __enter__(self) -> "SupervisedIngestEngine":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.close()
-
-    def _shard_dir(self, worker_id: int) -> Path:
-        return Path(self.durable.directory) / f"shard-{worker_id:03d}"
-
-    def _start(self) -> None:
-        if self._started:
-            return
-        self._collect_spans = obs_trace.tracer() is not None
-        self._slots = create_slot_pool(
-            self.plan.shards, SLOTS_PER_WORKER, self.plan.chunk_size,
-            self._dtype,
-        )
-        self._started = True
-        rec = obs_metrics.recorder()
-        if rec.enabled:
-            rec.set("telemetry.engine.up", 1)
-        for worker_id in range(self.plan.shards):
-            self._spawn(worker_id)
-        if rec.enabled:
-            rec.set("parallel.workers", self.plan.shards)
-
-    def _spawn(self, worker_id: int) -> None:
-        task_queue = self._ctx.Queue()
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_supervised_worker,
-            args=(
-                worker_id,
-                self._incarnation[worker_id],
-                self.plan,
-                self._spec,
-                self._durable_spec,
-                [slot.name for slot in self._slots[worker_id]],
-                self._dtype.str,
-                task_queue,
-                send_conn,
-                self.faults,
-                self._collect_metrics,
-                self._collect_spans,
-            ),
-            daemon=True,
-        )
-        process.start()
-        # Drop the parent's copy of the write end: once the worker dies,
-        # its pipe hits EOF and the death is visible immediately.
-        send_conn.close()
-        self._procs[worker_id] = process
-        self._task_queues[worker_id] = task_queue
-        self._reply_conns[worker_id] = recv_conn
-        self._ready[worker_id] = False
-        self._free[worker_id] = []
-        # A fresh incarnation has not been told to finish, whatever its
-        # predecessor was sent; _on_ready re-issues it when finishing.
-        self._finish_sent[worker_id] = False
-        self._last_reply[worker_id] = time.monotonic()
-        # Heartbeat gauges the /healthz endpoint reads live.
-        rec = obs_metrics.recorder()
-        if rec.enabled:
-            rec.set("telemetry.shard.alive", 1, worker=worker_id)
-            rec.set(
-                "telemetry.shard.restarts_remaining",
-                self.supervisor.max_restarts - self._restarts[worker_id],
-                worker=worker_id,
-            )
-
-    # -- supervision ----------------------------------------------------
-
-    def _pump(self, timeout: float) -> bool:
-        """Handle ready worker replies; on silence, run the health check.
-
-        The reply channels are one pipe per worker, multiplexed with
-        :func:`multiprocessing.connection.wait`.  A pipe that reads as
-        EOF is a worker that died mid-write — the torn message is
-        treated as lost (a real crash loses it too) and the failure
-        handled right away.
-        """
-        if self._closed:
-            raise DurabilityError("supervised engine is closed")
-        owners = {
-            conn: worker_id
-            for worker_id, conn in enumerate(self._reply_conns)
-            if conn is not None
-        }
-        if not owners:
-            time.sleep(timeout)
-            self._check_health()
-            return False
-        handled = False
-        for conn in mp_connection.wait(list(owners), timeout):
-            worker_id = owners[conn]
-            if self._reply_conns[worker_id] is not conn:
-                continue  # replaced by a restart earlier in this sweep
-            try:
-                reply = conn.recv()
-            except (EOFError, OSError):
-                self._on_failure(worker_id, "worker process died")
-                continue
-            handled = True
-            self._dispatch(reply)
-        if not handled:
-            self._check_health()
-        return handled
-
-    def _dispatch(self, reply: Any) -> None:
-        kind = reply[0]
-        if kind == "ready":
-            self._on_ready(reply[1], reply[2], reply[3])
-        elif kind == "ack":
-            self._on_ack(reply[1], reply[2], reply[3], reply[4])
-        elif kind == "error":
-            _, worker_id, incarnation, tb = reply
-            if incarnation == self._incarnation[worker_id]:
-                self._on_failure(worker_id, f"worker error:\n{tb}")
-        elif kind == "result":
-            self._on_result(reply)
-
-    def _on_ready(
-        self, worker_id: int, incarnation: int, next_seq: int
-    ) -> None:
-        if (
-            incarnation != self._incarnation[worker_id]
-            or self._abandoned[worker_id]
-        ):
-            return
-        self._ready[worker_id] = True
-        self._free[worker_id] = list(range(SLOTS_PER_WORKER))
-        self._last_reply[worker_id] = time.monotonic()
-        rec = obs_metrics.recorder()
-        if rec.enabled:
-            rec.set(
-                "telemetry.shard.high_water_seq", next_seq,
-                worker=worker_id,
-            )
-        pending = self._pending[worker_id]
-        self._pending[worker_id] = OrderedDict()
-        resend = 0
-        for ordinal in sorted(pending):
-            if ordinal < next_seq:
-                continue  # durably applied before the crash
-            self._send_chunk(worker_id, ordinal, pending[ordinal])
-            resend += 1
-        if resend:
-            self.resent_chunks += resend
-            rec = obs_metrics.recorder()
-            if rec.enabled:
-                rec.inc("durability.supervisor.resent_chunks", resend)
-        if self._finishing and not self._finish_sent[worker_id]:
-            self._send_finish(worker_id)
-
-    def _on_ack(
-        self, worker_id: int, incarnation: int, slot: int, ordinal: int
-    ) -> None:
-        if incarnation != self._incarnation[worker_id]:
-            return
-        self._free[worker_id].append(slot)
-        self._pending[worker_id].pop(ordinal, None)
-        self._last_reply[worker_id] = time.monotonic()
-        rec = obs_metrics.recorder()
-        if rec.enabled:
-            # The ack means ordinal is durably applied: seqs < ordinal+1
-            # will never be resent to this shard.
-            rec.set(
-                "telemetry.shard.high_water_seq", ordinal + 1,
-                worker=worker_id,
-            )
-
-    def _check_health(self) -> None:
-        now = time.monotonic()
-        for worker_id in range(self.plan.shards):
-            if self._abandoned[worker_id]:
-                continue
-            process = self._procs[worker_id]
-            if process is None:
-                continue
-            if not process.is_alive():
-                self._on_failure(worker_id, "worker process died")
-                continue
-            waiting = bool(self._pending[worker_id]) or (
-                not self._ready[worker_id]
-            ) or (self._finishing and not self._has_result(worker_id))
-            if waiting and (
-                now - self._last_reply[worker_id]
-                > self.supervisor.hung_timeout_s
-            ):
-                self.hung_detected += 1
-                rec = obs_metrics.recorder()
-                if rec.enabled:
-                    rec.inc("durability.supervisor.hung_detected", 1)
-                record_event(
-                    "supervisor.hung",
-                    worker=worker_id,
-                    silent_s=round(now - self._last_reply[worker_id], 3),
-                )
-                # Remediation of a hung worker the seeded plan stalled —
-                # the fault itself was injected in-worker via the plan.
-                process.kill()  # replint: disable=REP007
-                self._on_failure(worker_id, "worker hung (no heartbeat)")
-
-    def _has_result(self, worker_id: int) -> bool:
-        return worker_id in self._results
-
-    def _on_failure(self, worker_id: int, reason: str) -> None:
-        process = self._procs[worker_id]
-        if process is not None:
-            if process.is_alive():
-                process.kill()  # replint: disable=REP007
-            process.join(timeout=5.0)
-        self._procs[worker_id] = None
-        conn = self._reply_conns[worker_id]
-        if conn is not None:
-            conn.close()
-            self._reply_conns[worker_id] = None
-        self._ready[worker_id] = False
-        rec = obs_metrics.recorder()
-        if rec.enabled:
-            rec.set("telemetry.shard.alive", 0, worker=worker_id)
-        if self._restarts[worker_id] >= self.supervisor.max_restarts:
-            self._abandon(worker_id, reason)
-            return
-        delay = (
-            self.supervisor.restart_backoff_s
-            * self.supervisor.backoff_factor ** self._restarts[worker_id]
-        )
-        if delay > 0:
-            time.sleep(delay)
-        self._restarts[worker_id] += 1
-        self._incarnation[worker_id] += 1
-        # First restart of a shard also applies the plan's storage
-        # faults, so recovery is exercised against the damaged store.
-        if worker_id not in self._storage_faulted:
-            self._storage_faulted.add(worker_id)
-            apply_storage_faults(
-                self._shard_dir(worker_id),
-                self._injector,
-                store_id=worker_id,
-            )
-        if rec.enabled:
-            rec.inc("durability.supervisor.restarts", 1)
-        record_event(
-            "supervisor.restart",
-            worker=worker_id,
-            incarnation=self._incarnation[worker_id],
-            restarts_used=self._restarts[worker_id],
-            reason=reason.splitlines()[0] if reason else "",
-        )
-        with obs_trace.span(
-            "durability.supervisor.restart",
-            worker=worker_id,
-            incarnation=self._incarnation[worker_id],
-        ):
-            self._spawn(worker_id)
-
-    def _abandon(self, worker_id: int, reason: str) -> None:
-        self._abandoned[worker_id] = True
-        self._ready[worker_id] = False
-        for values in self._pending[worker_id].values():
-            self._lost_elements += len(values)
-        self._pending[worker_id] = OrderedDict()
-        self._free[worker_id] = []
-        rec = obs_metrics.recorder()
-        if rec.enabled:
-            rec.inc("durability.supervisor.abandoned", 1)
-            rec.set("telemetry.shard.abandoned", 1, worker=worker_id)
-            rec.set(
-                "telemetry.shard.restarts_remaining", 0, worker=worker_id
-            )
-        record_event(
-            "supervisor.abandon",
-            worker=worker_id,
-            restarts_used=self._restarts[worker_id],
-            reason=reason.splitlines()[0] if reason else "",
-        )
-
-    # -- dispatch -------------------------------------------------------
-
-    def _send_chunk(
-        self, worker_id: int, ordinal: int, values: np.ndarray
-    ) -> None:
-        # Resolve the queue before popping the slot: raising with the
-        # slot already off the free list would leak it (REP011).
-        task_queue = self._task_queues[worker_id]
-        if task_queue is None:
-            raise DurabilityError(f"shard {worker_id} has no live worker")
-        slot = self._free[worker_id].pop()
-        count = self._slots[worker_id][slot].write(values)
-        self._pending[worker_id][ordinal] = values
-        task_queue.put(("chunk", slot, count, ordinal))
-
-    def _await_slot(self, worker_id: int) -> bool:
-        """Block until the shard has a free slot (or was abandoned)."""
-        while not self._abandoned[worker_id] and (
-            not self._ready[worker_id] or not self._free[worker_id]
-        ):
-            self._pump(self.supervisor.poll_interval_s)
-        return not self._abandoned[worker_id]
-
-    def ingest(self, data: np.ndarray) -> None:
-        """Deal a stream (or a piece of one) across the workers.
-
-        The deal is identical to the plain engine's — same plan, same
-        chunks, same shards — so a fault-free supervised run merges to
-        the same summary.
-        """
-        if self._finished or self._finishing:
+        if durable is None:
             raise InvalidParameterError(
-                "engine already finished; build a new one to ingest more"
+                "a supervised engine needs a durable store (a "
+                "DurabilityConfig or a directory path)"
             )
-        self._start()
-        data = np.asarray(data, dtype=self._dtype)
-        rec = obs_metrics.recorder()
-        chunks = 0
-        for index, lo, hi in self.plan.chunks(
-            len(data), first_chunk=self._chunk_counter
-        ):
-            worker_id = self.plan.shard_of_chunk(index)
-            chunks += 1
-            if not self._await_slot(worker_id):
-                self._lost_elements += hi - lo
-                continue
-            values = np.array(data[lo:hi], dtype=self._dtype, copy=True)
-            self._send_chunk(worker_id, self._ordinals[worker_id], values)
-            self._ordinals[worker_id] += 1
-        self._chunk_counter += chunks
-        self._elements += len(data)
-        if rec.enabled:
-            rec.inc("parallel.chunks", chunks, algo=self.algorithm)
-            rec.inc("parallel.elements", len(data), algo=self.algorithm)
+        super().__init__(algorithm, eps, plan, durable=durable, **kwargs)
 
-    # -- finish ---------------------------------------------------------
-
-    def _send_finish(self, worker_id: int) -> None:
-        task_queue = self._task_queues[worker_id]
-        if task_queue is not None:
-            task_queue.put(("finish",))
-            self._finish_sent[worker_id] = True
-
-    def _on_result(self, reply: Any) -> None:
-        _, worker_id, incarnation, blob, metrics_state, span_batch = reply
-        if (
-            incarnation != self._incarnation[worker_id]
-            or self._abandoned[worker_id]
-        ):
-            return
-        self._last_reply[worker_id] = time.monotonic()
-        self._results[worker_id] = blob
-        rec = obs_metrics.recorder()
-        if metrics_state and isinstance(rec, obs_metrics.MetricsRegistry):
-            obs_metrics.absorb_state(rec, metrics_state, worker=worker_id)
-        parent_tracer = obs_trace.tracer()
-        if span_batch and parent_tracer is not None:
-            parent_tracer.ingest(span_batch, worker=worker_id)
-
-    def _salvage(self, worker_id: int) -> Optional[QuantileSketch]:
-        """Recover an abandoned shard's durable state in the parent."""
-        seed = self.plan.sketch_seed(
-            worker_id, self._spec["shares_seed"]
-        )
-        try:
-            store = DurableIngest(
-                DurabilityConfig(
-                    directory=self._shard_dir(worker_id),
-                    checkpoint_interval=self.durable.checkpoint_interval,
-                    keep_checkpoints=self.durable.keep_checkpoints,
-                    fsync=self.durable.fsync,
-                    segment_bytes=self.durable.segment_bytes,
-                    validate_restore=self.durable.validate_restore,
-                ),
-                self._spec["algorithm"],
-                self._spec["eps"],
-                universe_log2=self._spec["universe_log2"],
-                seed=seed,
-                dtype=self._dtype,
-                **self._spec["kwargs"],
-            )
-        except (DurabilityError, CorruptSummaryError):
-            return None
-        sketch = store.sketch
-        store.close()
-        return sketch
-
-    def finish(self) -> SupervisedResult:
+    def finish(self) -> SupervisedResult:  # type: ignore[override]
         """Collect, salvage, merge; report coverage honestly.
 
         Live shards ship their summaries back as snapshot envelopes;
         abandoned shards are salvaged from their durable stores (their
-        acked prefix survives).  The merge is the same binary tree as
-        the plain engine's, and the result's ``coverage`` /
-        ``effective_eps`` make any loss explicit rather than silent.
+        acked prefix survives).
         """
-        if self._finished:
-            raise InvalidParameterError("engine already finished")
-        self._start()
-        self._finishing = True
-        for worker_id in range(self.plan.shards):
-            if not self._abandoned[worker_id] and self._ready[worker_id]:
-                self._send_finish(worker_id)
-        while True:
-            outstanding = [
-                w
-                for w in range(self.plan.shards)
-                if not self._abandoned[w] and w not in self._results
-            ]
-            if not outstanding:
-                break
-            self._pump(self.supervisor.poll_interval_s)
-        self._finished = True
-        sketches: List[QuantileSketch] = []
-        salvaged: List[int] = []
-        for worker_id in range(self.plan.shards):
-            if worker_id in self._results:
-                sketches.append(restore(self._results[worker_id]))
-            elif self._abandoned[worker_id]:
-                sketch = self._salvage(worker_id)
-                if sketch is not None:
-                    sketches.append(sketch)
-                    salvaged.append(worker_id)
-        rec = obs_metrics.recorder()
-        summary: Optional[QuantileSketch] = None
-        if sketches:
-            with obs_trace.span(
-                "parallel.merge_tree", algo=self.algorithm,
-                shards=len(sketches),
-            ):
-                while len(sketches) > 1:
-                    merged: List[QuantileSketch] = []
-                    for i in range(0, len(sketches) - 1, 2):
-                        start = time.perf_counter_ns()
-                        sketches[i].merge(sketches[i + 1])
-                        if rec.enabled:
-                            rec.inc(
-                                "parallel.merges", 1, algo=self.algorithm
-                            )
-                            rec.observe(
-                                "parallel.merge_ns",
-                                time.perf_counter_ns() - start,
-                                algo=self.algorithm,
-                            )
-                        merged.append(sketches[i])
-                    if len(sketches) % 2:
-                        merged.append(sketches[-1])
-                    sketches = merged
-            summary = sketches[0]
-            summary.validate()
-        merged_n = summary.n if summary is not None else 0
-        total = self._elements
-        coverage = (merged_n / total) if total else 1.0
+        summary = self._collect()
         return SupervisedResult(
             summary=summary,
-            coverage=coverage,
-            effective_eps=coverage * self.eps + (1.0 - coverage),
-            elements_total=total,
-            elements_merged=merged_n,
-            restarts=tuple(self._restarts),
+            coverage=self.coverage,
+            effective_eps=self.effective_eps,
+            elements_total=self._elements,
+            elements_merged=self.elements_merged,
+            restarts=tuple(self.restarts),
             abandoned_shards=tuple(
-                w
-                for w in range(self.plan.shards)
-                if self._abandoned[w]
+                w for w in range(self.plan.shards) if self._abandoned[w]
             ),
-            salvaged_shards=tuple(salvaged),
+            salvaged_shards=self.salvaged_shards,
             resent_chunks=self.resent_chunks,
             hung_detected=self.hung_detected,
         )
-
-    def close(self) -> None:
-        """Stop workers and release the shared-memory slots."""
-        if self._closed:
-            return
-        self._closed = True
-        rec = obs_metrics.recorder()
-        if rec.enabled and self._started:
-            rec.set("telemetry.engine.up", 0)
-            for worker_id in range(self.plan.shards):
-                rec.set("telemetry.shard.alive", 0, worker=worker_id)
-        for task_queue in self._task_queues:
-            if task_queue is None:
-                continue
-            try:
-                task_queue.put(("stop",))
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-        for process in self._procs:
-            if process is None:
-                continue
-            process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                # Last-resort teardown of a worker that ignored "stop";
-                # mirrors ShardedIngestEngine.close.
-                process.terminate()  # replint: disable=REP007
-                process.join(timeout=5.0)
-        for conn in self._reply_conns:
-            if conn is not None:
-                conn.close()
-        for pool in self._slots:
-            for slot in pool:
-                slot.close()
-                slot.unlink()
 
 
 def supervised_feed(
@@ -866,24 +114,14 @@ def supervised_feed(
     eps: float,
     plan: ShardPlan,
     durable: Any,
-    faults: Optional[FaultPlan] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-    universe_log2: Optional[int] = None,
-    collect_metrics: bool = False,
     **kwargs: Any,
 ) -> SupervisedResult:
-    """One-shot convenience: supervised shard, merge, report."""
+    """One-shot convenience: supervised shard, merge, report.
+
+    ``kwargs`` are as for :class:`SupervisedIngestEngine`.
+    """
     with SupervisedIngestEngine(
-        algorithm,
-        eps,
-        plan,
-        durable,
-        faults=faults,
-        supervisor=supervisor,
-        universe_log2=universe_log2,
-        collect_metrics=collect_metrics,
-        dtype=np.asarray(data).dtype,
-        **kwargs,
+        algorithm, eps, plan, durable, dtype=np.asarray(data).dtype, **kwargs
     ) as engine:
         engine.ingest(data)
         return engine.finish()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -395,58 +396,11 @@ def run_experiment(
             timings: Dict[str, Any] = {}
             repeat_durable = None
             if durable_cfg is not None:
-                from pathlib import Path
-
-                from repro.durability.ingest import DurabilityConfig
-
-                repeat_durable = DurabilityConfig(
+                repeat_durable = dataclasses.replace(
+                    durable_cfg,
                     directory=Path(durable_cfg.directory) / f"run-{i:02d}",
-                    checkpoint_interval=durable_cfg.checkpoint_interval,
-                    keep_checkpoints=durable_cfg.keep_checkpoints,
-                    fsync=durable_cfg.fsync,
-                    segment_bytes=durable_cfg.segment_bytes,
-                    validate_restore=durable_cfg.validate_restore,
                 )
-            if parallel is not None and repeat_durable is not None:
-                from repro.durability.supervisor import SupervisedIngestEngine
-                from repro.parallel.plan import DEFAULT_CHUNK_SIZE, ShardPlan
-
-                plan = ShardPlan(
-                    seed=seed + 1000 * i,
-                    shards=parallel,
-                    chunk_size=(
-                        batch_size if batch_size is not None
-                        else DEFAULT_CHUNK_SIZE
-                    ),
-                )
-                build_start = time.perf_counter()
-                with SupervisedIngestEngine(
-                    algorithm, eps, plan, repeat_durable,
-                    universe_log2=universe_log2,
-                    collect_metrics=collect_metrics,
-                    dtype=data.dtype,
-                    **kwargs,
-                ) as engine:
-                    build_s = time.perf_counter() - build_start
-                    feed_start = time.perf_counter()
-                    engine.ingest(data)
-                    supervised = engine.finish()
-                    run_elapsed = time.perf_counter() - feed_start
-                if supervised.summary is None:
-                    raise InvalidParameterError(
-                        "supervised run lost every shard; nothing to evaluate"
-                    )
-                sketch = supervised.summary
-                run_peak = sketch.size_words()
-                timings.update(
-                    update_s=run_elapsed,
-                    sample_s=0.0,
-                    ingest_path=f"supervised[{parallel}]",
-                )
-                if i == 0:
-                    durable_extra["coverage"] = supervised.coverage
-                    durable_extra["effective_eps"] = supervised.effective_eps
-            elif parallel is not None:
+            if parallel is not None:
                 from repro.parallel.engine import ShardedIngestEngine
                 from repro.parallel.plan import DEFAULT_CHUNK_SIZE, ShardPlan
 
@@ -464,6 +418,7 @@ def run_experiment(
                     universe_log2=universe_log2,
                     collect_metrics=collect_metrics,
                     dtype=data.dtype,
+                    durable=repeat_durable,
                     **kwargs,
                 ) as engine:
                     build_s = time.perf_counter() - build_start
@@ -477,6 +432,11 @@ def run_experiment(
                     sample_s=0.0,
                     ingest_path=f"parallel[{parallel}]",
                 )
+                if repeat_durable is not None:
+                    timings["ingest_path"] = f"supervised[{parallel}]"
+                    if i == 0:
+                        durable_extra["coverage"] = engine.coverage
+                        durable_extra["effective_eps"] = engine.effective_eps
             elif repeat_durable is not None:
                 from repro.durability.ingest import DurableIngest
 

@@ -139,11 +139,10 @@ def parallel_sweep(
     import concurrent.futures
     import multiprocessing as mp
 
-    method = (
-        "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-    )
+    from repro.parallel.engine import _start_method
+
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=max_workers, mp_context=mp.get_context(method)
+        max_workers=max_workers, mp_context=mp.get_context(_start_method())
     ) as pool:
         return list(pool.map(_sweep_config, configs))
 

@@ -37,7 +37,11 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from repro.core.base import QuantileSketch
-from repro.core.errors import InvalidParameterError, ReproError
+from repro.core.errors import (
+    CorruptSummaryError,
+    InvalidParameterError,
+    ReproError,
+)
 from repro.core.registry import get_algorithm, supports_merge
 from repro.core.snapshot import envelope_info, restore, snapshot
 from repro.evaluation.harness import apply_batch, build_sketch
@@ -369,7 +373,9 @@ class ServeRegistry:
         """Reload every sealed sketch from the persist directory.
 
         Returns the recovered names (sorted).  Each envelope's CRC is
-        verified and the restored summary re-validated before it serves
+        verified, matched against the CRC its sidecar meta records (so a
+        torn seal pair — a newer envelope beside an older meta — is
+        caught), and the restored summary re-validated before it serves
         a single query — a damaged seal raises
         :class:`~repro.core.errors.CorruptSummaryError` instead of
         silently answering from corrupt state.
@@ -387,7 +393,18 @@ class ServeRegistry:
             name = str(meta["name"])
             if name in self._sketches:
                 continue
-            envelope = (self.persist_dir / f"{name}.rqss").read_bytes()
+            envelope_path = self.persist_dir / f"{name}.rqss"
+            envelope = envelope_path.read_bytes()
+            # Each file of a seal is renamed into place on its own, so a
+            # kill between the two renames leaves a new envelope beside
+            # the old meta; its epoch and count would then be wrong.
+            crc = envelope_info(envelope).crc32
+            if crc != meta.get("envelope_crc32"):
+                raise CorruptSummaryError(
+                    f"torn seal: {envelope_path.name} has CRC32 {crc} but "
+                    f"{meta_path.name} records "
+                    f"{meta.get('envelope_crc32')!r}"
+                )
             sketch = restore(envelope)  # CRC + validate()
             spec = SketchSpec.from_dict(meta["spec"])
             entry = LiveSketch(

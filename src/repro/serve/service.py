@@ -175,7 +175,7 @@ class QuantileService:
             seed=spec.seed if spec.seed is not None else 0,
             shards=workers,
         )
-        # The engine forks workers and blocks on their reply queue; run
+        # The engine forks workers and blocks on their reply pipes; run
         # it in the default executor so the loop keeps serving reads
         # (REP008 — this was the one call that stalled every in-flight
         # request for the duration of a bulk load).

@@ -8,14 +8,18 @@ checked here — the scaling curve lives in
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.errors import (
     InvalidParameterError,
+    ParallelIngestError,
     UnmergeableSketchError,
 )
 from repro.core.snapshot import restore, snapshot
+from repro.distributed.faults import FaultPlan
 from repro.evaluation.harness import build_sketch
 from repro.evaluation.metrics import measure_errors
 from repro.obs import metrics as obs_metrics
@@ -137,6 +141,24 @@ class TestEngine:
                 engine.ingest(stream)
             with pytest.raises(InvalidParameterError):
                 engine.finish()
+
+    @pytest.mark.slow
+    def test_killed_worker_fails_promptly_without_durability(
+        self, stream
+    ) -> None:
+        # No durable store means nothing to restart from: worker 1's
+        # real SIGKILL must surface as an error naming it, seen through
+        # its torn reply pipe rather than after a reply timeout.
+        plan = ShardPlan(seed=3, shards=2, chunk_size=512)
+        faults = FaultPlan(seed=3, kill_worker_at={1: 1})
+        start = time.monotonic()
+        with ShardedIngestEngine(
+            "gk_array", EPS, plan, faults=faults
+        ) as engine:
+            with pytest.raises(ParallelIngestError, match="worker 1"):
+                engine.ingest(stream)
+                engine.finish()
+        assert time.monotonic() - start < 10.0
 
     def test_close_is_idempotent(self, stream) -> None:
         plan = ShardPlan(seed=3, shards=2, chunk_size=512)

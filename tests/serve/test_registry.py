@@ -149,6 +149,21 @@ class TestServeRegistry:
         with pytest.raises(CorruptSummaryError):
             ServeRegistry(persist_dir=tmp_path).recover()
 
+    def test_recover_rejects_torn_seal_pair(self, tmp_path):
+        # A kill between the seal's two renames leaves the second
+        # envelope beside the first meta: refuse it rather than restore
+        # the new summary under the old epoch and count.
+        reg = ServeRegistry(persist_dir=tmp_path)
+        reg.create("w", SPEC)
+        reg.get("w").buffer(np.arange(100, dtype=np.float64))
+        reg.flush("w")
+        first_meta = (tmp_path / "w.json").read_bytes()
+        reg.get("w").buffer(np.arange(100, 300, dtype=np.float64))
+        reg.flush("w")
+        (tmp_path / "w.json").write_bytes(first_meta)
+        with pytest.raises(CorruptSummaryError, match=r"w\.rqss.*w\.json"):
+            ServeRegistry(persist_dir=tmp_path).recover()
+
     def test_recover_rejects_unknown_meta_schema(self, tmp_path):
         reg = ServeRegistry(persist_dir=tmp_path)
         reg.create("w", SPEC)
